@@ -196,10 +196,7 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	seqs := inputs.Proteins(p.n, p.minLen, p.maxLen, inputSeed)
 	n := len(seqs)
 	scores := make([]int32, n*(n-1)/2)
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
+	opts := core.NewTaskOpts(variant, capturedBytes).Plain()
 	pairTask := func(c *omp.Context, i, j int) {
 		c.Task(func(c *omp.Context) {
 			s, w := Score(seqs[i], seqs[j])

@@ -107,20 +107,17 @@ func Inverse(src []complex128) []complex128 {
 }
 
 // parFFT is the task-parallel recursion: each division spawns two
-// half-size transforms; leaves run sequentially.
-func parFFT(c *omp.Context, in, out []complex128, n, stride int, untied bool) {
+// half-size transforms; leaves run sequentially. opts is the run's
+// task-clause set.
+func parFFT(c *omp.Context, in, out []complex128, n, stride int, opts []omp.TaskOpt) {
 	if n <= leafSize {
 		c.AddWork(seqFFT(in, out, n, stride))
 		c.AddWrites(int64(n), int64(n)) // butterfly writes: half local reuse, half shared output
 		return
 	}
 	h := n / 2
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if untied {
-		opts = append(opts, omp.Untied())
-	}
-	c.Task(func(c *omp.Context) { parFFT(c, in, out[:h], h, stride*2, untied) }, opts...)
-	c.Task(func(c *omp.Context) { parFFT(c, in[stride:], out[h:], h, stride*2, untied) }, opts...)
+	c.Task(func(c *omp.Context) { parFFT(c, in, out[:h], h, stride*2, opts) }, opts...)
+	c.Task(func(c *omp.Context) { parFFT(c, in[stride:], out[h:], h, stride*2, opts) }, opts...)
 	c.Taskwait()
 	c.AddWork(combine(out, n))
 	c.AddWrites(0, int64(n))
@@ -173,10 +170,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	}
 	src := inputs.ComplexVector(n, inputSeed)
 	out := make([]complex128, n)
+	opts := core.NewTaskOpts(variant, capturedBytes).Plain()
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parFFT(c, src, out, n, 1, variant.Untied)
+			parFFT(c, src, out, n, 1, opts)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -54,7 +54,7 @@ func Iterative(n int) uint64 {
 }
 
 // par runs one task-parallel fib computation.
-func par(c *omp.Context, n, depth, cutoff int, variant core.Variant, res *uint64) {
+func par(c *omp.Context, n, depth, cutoff int, opts *core.TaskOpts, res *uint64) {
 	c.AddWork(1)
 	c.AddWrites(0, 1) // result returned through a shared (parent-stack) variable
 	if n < 2 {
@@ -63,11 +63,11 @@ func par(c *omp.Context, n, depth, cutoff int, variant core.Variant, res *uint64
 	}
 	var a, b uint64
 	spawn := func(m int, dst *uint64) {
-		body := func(c *omp.Context) { par(c, m, depth+1, cutoff, variant, dst) }
-		switch variant.Cutoff {
+		body := func(c *omp.Context) { par(c, m, depth+1, cutoff, opts, dst) }
+		switch opts.Cutoff {
 		case "manual":
 			if depth < cutoff {
-				c.Task(body, taskOpts(variant, nil)...)
+				c.Task(body, opts.Plain()...)
 			} else {
 				// Manual cut-off: plain recursion, no task at all.
 				v, calls := Seq(m)
@@ -76,26 +76,15 @@ func par(c *omp.Context, n, depth, cutoff int, variant core.Variant, res *uint64
 				*dst = v
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(depth < cutoff))...)
+			c.Task(body, opts.If(depth < cutoff)...)
 		default: // "none"
-			c.Task(body, taskOpts(variant, nil)...)
+			c.Task(body, opts.Plain()...)
 		}
 	}
 	spawn(n-1, &a)
 	spawn(n-2, &b)
 	c.Taskwait()
 	*res = a + b
-}
-
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 func digest(n int, v uint64) string { return fmt.Sprintf("fib(%d)=%d", n, v) }
@@ -127,12 +116,13 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		cutoff = DefaultCutoffDepth
 	}
 	var res uint64
+	opts := core.NewTaskOpts(variant, capturedBytes)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
 			c.Task(func(c *omp.Context) {
-				par(c, n, 0, cutoff, variant, &res)
-			}, taskOpts(variant, nil)...)
+				par(c, n, 0, cutoff, opts, &res)
+			}, opts.Plain()...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -60,7 +60,9 @@ func (s *state) clone() *state {
 	return ns
 }
 
-func (s *state) capturedBytes() int { return 8*len(s.placed) + 16 }
+// capturedBytes is the firstprivate size of a task whose state holds
+// the given number of placed cells.
+func capturedBytes(placed int) int { return 8*placed + 16 }
 
 func overlaps(a, b rect) bool {
 	return a.x < b.x+b.w && b.x < a.x+a.w && a.y < b.y+b.h && b.y < a.y+a.h
@@ -157,37 +159,29 @@ func Seq(cells []inputs.Cell) (area, nodes int64) {
 	return sh.best.Load(), n
 }
 
-func taskOpts(variant core.Variant, captured int, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(captured)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
-}
-
 // parExplore is the task-parallel search: each branch becomes a task
 // (subject to the depth cut-off), with per-thread node counters.
+// opts[k] is the clause set of a task whose state holds k placed cells
+// (the captured state grows with the depth).
 func parExplore(c *omp.Context, sh *shared, s *state, idx, cutoff int,
-	variant core.Variant, nodes *omp.ThreadPrivate[int64]) {
+	opts []*core.TaskOpts, nodes *omp.ThreadPrivate[int64]) {
 	var local int64
 	spawn := func(child *state, nextIdx int) bool {
 		depth := nextIdx // depth in the task tree == cells placed
 		body := func(c *omp.Context) {
-			parExplore(c, sh, child, nextIdx, cutoff, variant, nodes)
+			parExplore(c, sh, child, nextIdx, cutoff, opts, nodes)
 		}
-		switch variant.Cutoff {
+		o := opts[len(child.placed)]
+		switch o.Cutoff {
 		case "manual":
 			if depth >= cutoff {
 				return false // caller recurses sequentially, no task
 			}
-			c.Task(body, taskOpts(variant, child.capturedBytes(), nil)...)
+			c.Task(body, o.Plain()...)
 		case "if":
-			c.Task(body, taskOpts(variant, child.capturedBytes(), omp.If(depth < cutoff))...)
+			c.Task(body, o.If(depth < cutoff)...)
 		default:
-			c.Task(body, taskOpts(variant, child.capturedBytes(), nil)...)
+			c.Task(body, o.Plain()...)
 		}
 		return true
 	}
@@ -230,10 +224,14 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	sh := &shared{cells: cells}
 	sh.best.Store(1 << 62)
 	nodes := omp.NewThreadPrivate[int64](cfg.Threads)
+	opts := make([]*core.TaskOpts, len(cells)+1)
+	for k := range opts {
+		opts[k] = core.NewTaskOpts(variant, capturedBytes(k))
+	}
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parExplore(c, sh, &state{}, 0, cutoff, variant, nodes)
+			parExplore(c, sh, &state{}, 0, cutoff, opts, nodes)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

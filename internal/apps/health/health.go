@@ -139,8 +139,11 @@ func (v *Village) simStep() int64 {
 	h := &v.hospital
 	var work int64
 
+	// Each queue is filtered in place (kept patients keep their order)
+	// and its vacated tail cleared, so a step allocates no new queues.
+
 	// Patients inside treatment.
-	var stillInside []*Patient
+	stillInside := h.inside[:0]
 	for _, p := range h.inside {
 		work++
 		p.timeLeft--
@@ -153,10 +156,11 @@ func (v *Village) simStep() int64 {
 			stillInside = append(stillInside, p)
 		}
 	}
+	clear(h.inside[len(stillInside):])
 	h.inside = stillInside
 
 	// Patients in assessment.
-	var stillAssess []*Patient
+	stillAssess := h.assess[:0]
 	for _, p := range h.assess {
 		work++
 		p.timeLeft--
@@ -180,10 +184,11 @@ func (v *Village) simStep() int64 {
 			v.totalHospitals += int64(p.hospitals)
 		}
 	}
+	clear(h.assess[len(stillAssess):])
 	h.assess = stillAssess
 
 	// Waiting patients move to assessment while personnel is free.
-	var stillWaiting []*Patient
+	stillWaiting := h.waiting[:0]
 	for _, p := range h.waiting {
 		work++
 		if h.freePersonnel > 0 {
@@ -195,6 +200,7 @@ func (v *Village) simStep() int64 {
 			stillWaiting = append(stillWaiting, p)
 		}
 	}
+	clear(h.waiting[len(stillWaiting):])
 	h.waiting = stillWaiting
 
 	// New patients fall sick.
@@ -238,21 +244,21 @@ func seqSim(v *Village) int64 {
 
 // parSim is the task-parallel version: one task per child village,
 // bounded by the level cut-off.
-func parSim(c *omp.Context, v *Village, cutoffLevel int, variant core.Variant) {
+func parSim(c *omp.Context, v *Village, cutoffLevel int, opts *core.TaskOpts) {
 	for _, child := range v.children {
 		child := child
-		body := func(c *omp.Context) { parSim(c, child, cutoffLevel, variant) }
-		switch variant.Cutoff {
+		body := func(c *omp.Context) { parSim(c, child, cutoffLevel, opts) }
+		switch opts.Cutoff {
 		case "manual":
 			if child.level >= cutoffLevel {
-				c.Task(body, taskOpts(variant, nil)...)
+				c.Task(body, opts.Plain()...)
 			} else {
 				c.AddWork(seqSim(child))
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(child.level >= cutoffLevel))...)
+			c.Task(body, opts.If(child.level >= cutoffLevel)...)
 		default:
-			c.Task(body, taskOpts(variant, nil)...)
+			c.Task(body, opts.Plain()...)
 		}
 	}
 	c.Taskwait()
@@ -260,17 +266,6 @@ func parSim(c *omp.Context, v *Village, cutoffLevel int, variant core.Variant) {
 	w += v.simStep()
 	c.AddWork(w)
 	c.AddWrites(w/4, w/8) // queue-pointer updates; partially shared structures
-}
-
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 // stats aggregates the verification statistics over the tree.
@@ -328,11 +323,12 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 		cutoff = DefaultCutoffLevel
 	}
 	v := Build(p)
+	opts := core.NewTaskOpts(variant, capturedBytes)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
 			for t := 0; t < p.steps; t++ {
-				parSim(c, v, cutoff, variant)
+				parSim(c, v, cutoff, opts)
 			}
 		})
 	}, cfg.TeamOpts()...)

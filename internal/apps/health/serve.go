@@ -24,11 +24,14 @@ func Steps(class core.Class) int { return classParams[class].steps }
 // run inside a task region — an explicit task or a persistent-team
 // submission — and returns when the subtree is fully simulated.
 func Simulate(c *omp.Context, v *Village, steps, cutoffLevel int) {
-	variant := core.Variant{Cutoff: "manual"}
 	for t := 0; t < steps; t++ {
-		parSim(c, v, cutoffLevel, variant)
+		parSim(c, v, cutoffLevel, serveOpts)
 	}
 }
+
+// serveOpts is the service mode's fixed task-clause set (manual
+// cut-off, tied), shared by every request.
+var serveOpts = core.NewTaskOpts(core.Variant{Cutoff: "manual"}, capturedBytes)
 
 // SeqSimulate runs steps timesteps of the sequential reference
 // simulation on the subtree rooted at v.

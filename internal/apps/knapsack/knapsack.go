@@ -137,34 +137,23 @@ func SeqDP(items []Item, capacity int) int64 {
 	return dp[capacity]
 }
 
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
-}
-
 // parExplore is the task-parallel search.
 func parExplore(c *omp.Context, sh *shared, idx, weight, value, cutoff int,
-	variant core.Variant, nodes *omp.ThreadPrivate[int64]) {
+	opts *core.TaskOpts, nodes *omp.ThreadPrivate[int64]) {
 	var local int64
 	spawn := func(ni, nw, nv int) bool {
 		depth := ni
-		body := func(c *omp.Context) { parExplore(c, sh, ni, nw, nv, cutoff, variant, nodes) }
-		switch variant.Cutoff {
+		body := func(c *omp.Context) { parExplore(c, sh, ni, nw, nv, cutoff, opts, nodes) }
+		switch opts.Cutoff {
 		case "manual":
 			if depth >= cutoff {
 				return false
 			}
-			c.Task(body, taskOpts(variant, nil)...)
+			c.Task(body, opts.Plain()...)
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(depth < cutoff))...)
+			c.Task(body, opts.If(depth < cutoff)...)
 		default:
-			c.Task(body, taskOpts(variant, nil)...)
+			c.Task(body, opts.Plain()...)
 		}
 		return true
 	}
@@ -206,10 +195,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	}
 	sh := &shared{items: items, capacity: capacity}
 	nodes := omp.NewThreadPrivate[int64](cfg.Threads)
+	opts := core.NewTaskOpts(variant, capturedBytes)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parExplore(c, sh, 0, 0, 0, cutoff, variant, nodes)
+			parExplore(c, sh, 0, 0, 0, cutoff, opts, nodes)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -77,7 +77,7 @@ func Seq(n int) (solutions, work int64) {
 // the next row becomes a child task with a private copy of the board
 // prefix. Solutions are accumulated into the executing thread's slot
 // of counts.
-func par(c *omp.Context, board []int8, row, cutoff int, variant core.Variant, counts *omp.ThreadPrivate[int64]) {
+func par(c *omp.Context, board []int8, row, cutoff int, opts *core.TaskOpts, counts *omp.ThreadPrivate[int64]) {
 	n := len(board)
 	c.AddWork(int64(row) + 1)
 	c.AddWrites(int64(row), 0) // the board copy is written into task-private memory
@@ -92,11 +92,11 @@ func par(c *omp.Context, board []int8, row, cutoff int, variant core.Variant, co
 		child := make([]int8, n)
 		copy(child, board[:row])
 		child[row] = col
-		body := func(c *omp.Context) { par(c, child, row+1, cutoff, variant, counts) }
-		switch variant.Cutoff {
+		body := func(c *omp.Context) { par(c, child, row+1, cutoff, opts, counts) }
+		switch opts.Cutoff {
 		case "manual":
 			if row < cutoff {
-				c.Task(body, taskOpts(variant, n, nil)...)
+				c.Task(body, opts.Plain()...)
 			} else {
 				// Manual cut-off: continue on this thread without any
 				// task; reuse the child buffer for the whole subtree.
@@ -105,23 +105,12 @@ func par(c *omp.Context, board []int8, row, cutoff int, variant core.Variant, co
 				c.AddWork(w)
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, n, omp.If(row < cutoff))...)
+			c.Task(body, opts.If(row < cutoff)...)
 		default: // "none"
-			c.Task(body, taskOpts(variant, n, nil)...)
+			c.Task(body, opts.Plain()...)
 		}
 	}
 	c.Taskwait()
-}
-
-func taskOpts(variant core.Variant, n int, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(n + 16)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 func digest(n int, count int64) string { return fmt.Sprintf("nqueens(%d)=%d", n, count) }
@@ -154,13 +143,14 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	}
 	counts := omp.NewThreadPrivate[int64](cfg.Threads)
 	var total int64
+	opts := core.NewTaskOpts(variant, n+16)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
 			board := make([]int8, n)
 			c.Task(func(c *omp.Context) {
-				par(c, board, 0, cutoff, variant, counts)
-			}, taskOpts(variant, n, nil)...)
+				par(c, board, 0, cutoff, opts, counts)
+			}, opts.Plain()...)
 		})
 		c.Barrier()
 		// Each thread folds its threadprivate count into the global

@@ -144,7 +144,7 @@ func workQuick(n int) int64 {
 // divide-and-conquer scheme: split the larger array at its middle,
 // binary-search the split value in the smaller one, and merge the two
 // halves as tasks.
-func parMerge(c *omp.Context, a, b, dest []int32, untied bool) {
+func parMerge(c *omp.Context, a, b, dest []int32, opts []omp.TaskOpt) {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
@@ -163,19 +163,18 @@ func parMerge(c *omp.Context, a, b, dest []int32, untied bool) {
 	ha := len(a) / 2
 	hb := binSplit(b, a[ha])
 	c.AddWork(int64(bits.Len(uint(len(b))) + 1))
-	opts := taskOpts(untied)
 	c.Task(func(c *omp.Context) {
-		parMerge(c, a[:ha], b[:hb], dest[:ha+hb], untied)
+		parMerge(c, a[:ha], b[:hb], dest[:ha+hb], opts)
 	}, opts...)
 	c.Task(func(c *omp.Context) {
-		parMerge(c, a[ha:], b[hb:], dest[ha+hb:], untied)
+		parMerge(c, a[ha:], b[hb:], dest[ha+hb:], opts)
 	}, opts...)
 	c.Taskwait()
 }
 
 // parSort sorts a using tmp as scratch, with the cilksort 4-way
-// decomposition.
-func parSort(c *omp.Context, a, tmp []int32, untied bool) {
+// decomposition. opts is the run's task-clause set.
+func parSort(c *omp.Context, a, tmp []int32, opts []omp.TaskOpt) {
 	n := len(a)
 	if n <= quickThreshold {
 		seqQuick(a)
@@ -184,24 +183,15 @@ func parSort(c *omp.Context, a, tmp []int32, untied bool) {
 		return
 	}
 	q1, q2, q3 := n/4, n/2, 3*(n/4)
-	opts := taskOpts(untied)
-	c.Task(func(c *omp.Context) { parSort(c, a[:q1], tmp[:q1], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parSort(c, a[q1:q2], tmp[q1:q2], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parSort(c, a[q2:q3], tmp[q2:q3], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parSort(c, a[q3:], tmp[q3:], untied) }, opts...)
+	c.Task(func(c *omp.Context) { parSort(c, a[:q1], tmp[:q1], opts) }, opts...)
+	c.Task(func(c *omp.Context) { parSort(c, a[q1:q2], tmp[q1:q2], opts) }, opts...)
+	c.Task(func(c *omp.Context) { parSort(c, a[q2:q3], tmp[q2:q3], opts) }, opts...)
+	c.Task(func(c *omp.Context) { parSort(c, a[q3:], tmp[q3:], opts) }, opts...)
 	c.Taskwait()
-	c.Task(func(c *omp.Context) { parMerge(c, a[:q1], a[q1:q2], tmp[:q2], untied) }, opts...)
-	c.Task(func(c *omp.Context) { parMerge(c, a[q2:q3], a[q3:], tmp[q2:], untied) }, opts...)
+	c.Task(func(c *omp.Context) { parMerge(c, a[:q1], a[q1:q2], tmp[:q2], opts) }, opts...)
+	c.Task(func(c *omp.Context) { parMerge(c, a[q2:q3], a[q3:], tmp[q2:], opts) }, opts...)
 	c.Taskwait()
-	parMerge(c, tmp[:q2], tmp[q2:], a, untied)
-}
-
-func taskOpts(untied bool) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if untied {
-		opts = append(opts, omp.Untied())
-	}
-	return opts
+	parMerge(c, tmp[:q2], tmp[q2:], a, opts)
 }
 
 // digest hashes the array contents.
@@ -253,10 +243,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	n := classN[cfg.Class]
 	a := inputs.Ints32(n, inputSeed)
 	tmp := make([]int32, n)
+	opts := core.NewTaskOpts(variant, capturedBytes).Plain()
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			c.Task(func(c *omp.Context) { parSort(c, a, tmp, variant.Untied) }, taskOpts(variant.Untied)...)
+			c.Task(func(c *omp.Context) { parSort(c, a, tmp, opts) }, opts...)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

@@ -73,7 +73,7 @@ func TestParMergeLargeArrays(t *testing.T) {
 	dest := make([]int32, len(a)+len(b))
 	omp.Parallel(4, func(c *omp.Context) {
 		c.Single(func(c *omp.Context) {
-			parMerge(c, a, b, dest, false)
+			parMerge(c, a, b, dest, core.NewTaskOpts(core.Variant{}, capturedBytes).Plain())
 		})
 	})
 	if !isSorted(dest) {

@@ -187,19 +187,11 @@ func Seq(m *Matrix) int64 {
 	return work
 }
 
-func taskOpts(untied bool) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if untied {
-		opts = append(opts, omp.Untied())
-	}
-	return opts
-}
-
 // parSingle is the single-generator parallel factorization: one
 // thread creates every task, with taskwaits separating the phases.
 func parSingle(c *omp.Context, m *Matrix, untied bool) {
 	nb, bs := m.NB, m.BS
-	opts := taskOpts(untied)
+	opts := core.NewTaskOpts(core.Variant{Untied: untied}, capturedBytes).Plain()
 	bsq := int64(bs) * int64(bs)
 	for kk := 0; kk < nb; kk++ {
 		c.AddWork(lu0(m.at(kk, kk), bs))
@@ -249,7 +241,7 @@ func parSingle(c *omp.Context, m *Matrix, untied bool) {
 // drain tasks) separating the phases.
 func parFor(c *omp.Context, m *Matrix, untied bool) {
 	nb, bs := m.NB, m.BS
-	opts := taskOpts(untied)
+	opts := core.NewTaskOpts(core.Variant{Untied: untied}, capturedBytes).Plain()
 	bsq := int64(bs) * int64(bs)
 	for kk := 0; kk < nb; kk++ {
 		kk := kk
@@ -334,7 +326,7 @@ func symbolicFill(m *Matrix) {
 // higher priority than the O(nb²) trailing updates.
 func parDep(c *omp.Context, m *Matrix, untied bool) {
 	nb, bs := m.NB, m.BS
-	opts := taskOpts(untied)
+	opts := core.NewTaskOpts(core.Variant{Untied: untied}, capturedBytes).Plain()
 	prioOpts := append(append([]omp.TaskOpt(nil), opts...), omp.Priority(1))
 	bsq := int64(bs) * int64(bs)
 	symbolicFill(m)

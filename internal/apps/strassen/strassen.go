@@ -118,8 +118,8 @@ func (e env) addWrites(private, shared int64) {
 // strassen computes c = a·b by Strassen recursion. In parallel mode
 // (e.ctx != nil) the seven products are created as tasks subject to
 // the version's depth cut-off; in sequential mode they recurse
-// directly.
-func strassen(e env, c, a, b view, n, depth, cutoff int, variant core.Variant) {
+// directly, and opts (the run's task-clause set) may be nil.
+func strassen(e env, c, a, b view, n, depth, cutoff int, opts *core.TaskOpts) {
 	if n <= baseSize {
 		zero(c, n)
 		matmulAdd(c, a, b, n)
@@ -145,45 +145,45 @@ func strassen(e env, c, a, b view, n, depth, cutoff int, variant core.Variant) {
 			add(t1, a11, a22, h)
 			add(t2, b11, b22, h)
 			e.addWork(2 * int64(h) * int64(h))
-			strassen(e, m[0], t1, t2, h, depth+1, cutoff, variant)
+			strassen(e, m[0], t1, t2, h, depth+1, cutoff, opts)
 		},
 		func(e env) { // M2 = (A21 + A22) B11
 			t1 := newView(h)
 			add(t1, a21, a22, h)
 			e.addWork(int64(h) * int64(h))
-			strassen(e, m[1], t1, b11, h, depth+1, cutoff, variant)
+			strassen(e, m[1], t1, b11, h, depth+1, cutoff, opts)
 		},
 		func(e env) { // M3 = A11 (B12 − B22)
 			t1 := newView(h)
 			sub(t1, b12, b22, h)
 			e.addWork(int64(h) * int64(h))
-			strassen(e, m[2], a11, t1, h, depth+1, cutoff, variant)
+			strassen(e, m[2], a11, t1, h, depth+1, cutoff, opts)
 		},
 		func(e env) { // M4 = A22 (B21 − B11)
 			t1 := newView(h)
 			sub(t1, b21, b11, h)
 			e.addWork(int64(h) * int64(h))
-			strassen(e, m[3], a22, t1, h, depth+1, cutoff, variant)
+			strassen(e, m[3], a22, t1, h, depth+1, cutoff, opts)
 		},
 		func(e env) { // M5 = (A11 + A12) B22
 			t1 := newView(h)
 			add(t1, a11, a12, h)
 			e.addWork(int64(h) * int64(h))
-			strassen(e, m[4], t1, b22, h, depth+1, cutoff, variant)
+			strassen(e, m[4], t1, b22, h, depth+1, cutoff, opts)
 		},
 		func(e env) { // M6 = (A21 − A11)(B11 + B12)
 			t1, t2 := newView(h), newView(h)
 			sub(t1, a21, a11, h)
 			add(t2, b11, b12, h)
 			e.addWork(2 * int64(h) * int64(h))
-			strassen(e, m[5], t1, t2, h, depth+1, cutoff, variant)
+			strassen(e, m[5], t1, t2, h, depth+1, cutoff, opts)
 		},
 		func(e env) { // M7 = (A12 − A22)(B21 + B22)
 			t1, t2 := newView(h), newView(h)
 			sub(t1, a12, a22, h)
 			add(t2, b21, b22, h)
 			e.addWork(2 * int64(h) * int64(h))
-			strassen(e, m[6], t1, t2, h, depth+1, cutoff, variant)
+			strassen(e, m[6], t1, t2, h, depth+1, cutoff, opts)
 		},
 	}
 
@@ -191,7 +191,7 @@ func strassen(e env, c, a, b view, n, depth, cutoff int, variant core.Variant) {
 		for _, p := range products {
 			p(e)
 		}
-	} else if variant.Futures {
+	} else if opts.Futures {
 		// Futures version: each product is a typed future; the combine
 		// phase blocks on exactly the values it consumes via Wait
 		// (a task scheduling point — the waiter executes other ready
@@ -200,21 +200,17 @@ func strassen(e env, c, a, b view, n, depth, cutoff int, variant core.Variant) {
 		futs := make([]*omp.Future[view], len(products))
 		for i, p := range products {
 			i, p := i, p
-			opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-			if variant.Untied {
-				opts = append(opts, omp.Untied())
-			}
 			futs[i] = omp.Spawn(e.ctx, func(c2 *omp.Context) view {
 				p(env{ctx: c2})
 				return m[i]
-			}, opts...)
+			}, opts.Plain()...)
 		}
 		for i, f := range futs {
 			m[i] = f.Wait(e.ctx)
 		}
 	} else {
 		spawnAsTask := true
-		if variant.Cutoff == "manual" && depth >= cutoff {
+		if opts.Cutoff == "manual" && depth >= cutoff {
 			spawnAsTask = false
 		}
 		for _, p := range products {
@@ -223,14 +219,11 @@ func strassen(e env, c, a, b view, n, depth, cutoff int, variant core.Variant) {
 				p(e) // manual cut-off: direct call, no task
 				continue
 			}
-			opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-			if variant.Untied {
-				opts = append(opts, omp.Untied())
+			clauses := opts.Plain()
+			if opts.Cutoff == "if" {
+				clauses = opts.If(depth < cutoff)
 			}
-			if variant.Cutoff == "if" {
-				opts = append(opts, omp.If(depth < cutoff))
-			}
-			e.ctx.Task(func(c2 *omp.Context) { p(env{ctx: c2}) }, opts...)
+			e.ctx.Task(func(c2 *omp.Context) { p(env{ctx: c2}) }, clauses...)
 		}
 		e.ctx.Taskwait()
 	}
@@ -255,7 +248,7 @@ func strassen(e env, c, a, b view, n, depth, cutoff int, variant core.Variant) {
 func Seq(a, b []float64, n int) ([]float64, int64) {
 	c := make([]float64, n*n)
 	var work int64
-	strassen(env{work: &work}, view{c, n}, view{a, n}, view{b, n}, n, 0, 0, core.Variant{})
+	strassen(env{work: &work}, view{c, n}, view{a, n}, view{b, n}, n, 0, 0, nil)
 	return c, work
 }
 
@@ -307,10 +300,11 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	a := inputs.Matrix(n, inputSeedA)
 	b := inputs.Matrix(n, inputSeedB)
 	c := make([]float64, n*n)
+	opts := core.NewTaskOpts(variant, capturedBytes)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(ctx *omp.Context) {
 		ctx.Single(func(ctx *omp.Context) {
-			strassen(env{ctx: ctx}, view{c, n}, view{a, n}, view{b, n}, n, 0, cutoff, variant)
+			strassen(env{ctx: ctx}, view{c, n}, view{a, n}, view{b, n}, n, 0, cutoff, opts)
 		})
 	}, cfg.TeamOpts()...)
 	elapsed := time.Since(start)

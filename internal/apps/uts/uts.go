@@ -114,7 +114,7 @@ var sinkGuard uint64
 // is counted in node units (one unit per node), matching Seq's
 // accounting; each node's actual cost is gran hash rounds.
 func par(c *omp.Context, hash uint64, depth, cutoff int, p params,
-	variant core.Variant, counts *omp.ThreadPrivate[int64]) {
+	opts *core.TaskOpts, counts *omp.ThreadPrivate[int64]) {
 	sinkGuard ^= visitWork(hash, p.gran)
 	c.AddWork(1)
 	c.AddWrites(1, 0)
@@ -122,11 +122,11 @@ func par(c *omp.Context, hash uint64, depth, cutoff int, p params,
 	n := numChildren(hash, p, depth == 0)
 	for i := 0; i < n; i++ {
 		ch := childHash(hash, i)
-		body := func(c *omp.Context) { par(c, ch, depth+1, cutoff, p, variant, counts) }
-		switch variant.Cutoff {
+		body := func(c *omp.Context) { par(c, ch, depth+1, cutoff, p, opts, counts) }
+		switch opts.Cutoff {
 		case "manual":
 			if depth < cutoff {
-				c.Task(body, taskOpts(variant, nil)...)
+				c.Task(body, opts.Plain()...)
 			} else {
 				var sink uint64
 				sub := seqCount(ch, depth+1, p, &sink)
@@ -136,23 +136,12 @@ func par(c *omp.Context, hash uint64, depth, cutoff int, p params,
 				c.AddWrites(sub, 0)
 			}
 		case "if":
-			c.Task(body, taskOpts(variant, omp.If(depth < cutoff))...)
+			c.Task(body, opts.If(depth < cutoff)...)
 		default:
-			c.Task(body, taskOpts(variant, nil)...)
+			c.Task(body, opts.Plain()...)
 		}
 	}
 	c.Taskwait()
-}
-
-func taskOpts(variant core.Variant, extra omp.TaskOpt) []omp.TaskOpt {
-	opts := []omp.TaskOpt{omp.Captured(capturedBytes)}
-	if variant.Untied {
-		opts = append(opts, omp.Untied())
-	}
-	if extra != nil {
-		opts = append(opts, extra)
-	}
-	return opts
 }
 
 func digest(nodes int64) string { return fmt.Sprintf("uts-nodes=%d", nodes) }
@@ -183,12 +172,13 @@ func parRun(cfg core.RunConfig) (*core.RunResult, error) {
 	}
 	counts := omp.NewThreadPrivate[int64](cfg.Threads)
 	root := inputs.NewRNG(p.seed).Uint64()
+	opts := core.NewTaskOpts(variant, capturedBytes)
 	start := time.Now()
 	st := omp.Parallel(cfg.Threads, func(c *omp.Context) {
 		c.SingleNowait(func(c *omp.Context) {
 			c.Task(func(c *omp.Context) {
-				par(c, root, 0, cutoff, p, variant, counts)
-			}, taskOpts(variant, nil)...)
+				par(c, root, 0, cutoff, p, opts, counts)
+			}, opts.Plain()...)
 		})
 		c.Barrier()
 	}, cfg.TeamOpts()...)

@@ -103,3 +103,38 @@ func TestDependenceAllocsSteadyState(t *testing.T) {
 		t.Errorf("dependent spawn path: %.3f allocs/task, want <= 3.0", got)
 	}
 }
+
+// deepTreeDepth gives TestTaskAllocsDeepTree 2^17-2 deferred tasks,
+// far more than any fixed-size recycling list holds, so the test sees
+// whether finished tasks recycle in-region or fall to the GC.
+const deepTreeDepth = 16
+
+// deepTreeNode is a static task body (it captures nothing, so the
+// task directive allocates nothing on the application side): a full
+// binary tree of deferred tasks with a tied taskwait at every node.
+func deepTreeNode(c *Context) {
+	if c.Depth() < deepTreeDepth {
+		c.Task(deepTreeNode)
+		c.Task(deepTreeNode)
+		c.Taskwait()
+	}
+}
+
+// TestTaskAllocsDeepTree pins in-region recycling on a tree much
+// larger than the flat loops above: every finished task must return
+// to a free list as soon as nothing references it, on a single worker
+// and on a two-worker team where thieves finish other workers' tasks.
+// Only runtime allocations count (the bodies are static), and the
+// per-region team set-up is amortized over the whole tree.
+func TestTaskAllocsDeepTree(t *testing.T) {
+	const tasks = 1<<(deepTreeDepth+1) - 2
+	for _, workers := range []int{1, 2} {
+		region := func(c *Context) {
+			c.Single(func(c *Context) { deepTreeNode(c) })
+		}
+		got := testing.AllocsPerRun(3, func() { Parallel(workers, region) }) / tasks
+		if got > 0.05 {
+			t.Errorf("%d workers: %.4f allocs/task over a %d-task tree, want <= 0.05", workers, got, tasks)
+		}
+	}
+}

@@ -55,7 +55,7 @@ func (c *Context) Task(body func(*Context), opts ...TaskOpt) {
 }
 
 // spawnTask is the shared creation path behind Task and Spawn. The
-// task struct comes from the worker's recycling tiers (pool.go), and
+// task struct comes from the worker's free list (pool.go), and
 // every field the previous life of the struct may have set is
 // re-assigned or guaranteed reset here.
 func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
@@ -76,6 +76,7 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 	t.priority = cfg.priority
 	t.group = parent.group
 	t.hasDeps = hasDeps
+	t.refs.Store(1) // t's own reference, dropped when t finishes
 	if tm.rec != nil {
 		t.node = tm.rec.Spawn(parent.node, cfg.untied, !deferred, cfg.captured)
 		if cfg.priority != 0 {
@@ -107,13 +108,12 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 		w.cur = prev
 		return
 	}
-	// The enqueued task — and therefore its whole ancestor chain — may
-	// be reached by stale thief reads until the region ends: pin the
-	// parent out of the in-region recycling tier (finishInline
-	// propagates the mark upward; see pool.go).
-	t.visible = true
-	parent.visible = true
-	parent.spawnedDeferred = true
+	// A queued task's ancestor chain must stay allocated while the
+	// task can be queued (constraint predicates walk it): t holds its
+	// parent until t itself is freed. Implicit tasks are never freed.
+	if parent.depth > 0 {
+		parent.refs.Add(1)
+	}
 	w.stats.tasksCreated.Add(1)
 	parent.pending.Add(1)
 	if t.group != nil {
@@ -141,31 +141,24 @@ func (c *Context) spawnTask(body func(*Context), cfg *taskConfig) {
 }
 
 // finishInline is finish for undeferred tasks: they were never added
-// to parent.pending, so only the team live count is released. A
-// never-shared task (no deferred descendant ever existed) is recycled
-// immediately; a visible one is buried until region end, propagating
-// visibility to its parent — the parent is an ancestor of whatever
-// deferred task made this one visible. Both the visible read and the
-// parent write happen on the thread that executed t inline, which is
-// also the thread executing t.parent.
+// to parent.pending, so only the team live count is released before t
+// drops its own reference. t takes its parent reference only here, if
+// a descendant still holds t: until now the parent is suspended in
+// the inline call.
 func (t *task) finishInline(w *worker) {
 	if t.depTab != nil {
-		recycleDepTab(t.depTab)
+		w.recycleDepTab(t.depTab)
 		t.depTab = nil
 	}
 	t.team.liveTasks.Add(-1)
-	if t.visible {
-		if p := t.parent; p != nil {
-			// t has a deferred descendant, so every ancestor of t does
-			// too; the parent executes on this thread, suspended in
-			// the inline chain, so the writes need no synchronization.
-			p.visible = true
-			p.spawnedDeferred = true
-		}
-		w.bury(t)
+	if t.refs.Load() == 1 {
+		w.free(t) // no descendant is allocated, and none can be created now
 		return
 	}
-	w.recycle(t)
+	if p := t.parent; p.depth > 0 {
+		p.refs.Add(1)
+	}
+	w.release(t)
 }
 
 // Taskwait suspends the current task until all child tasks it has

@@ -170,8 +170,11 @@ func (tr *depTracker) resolve(t *task, deps []dep, w *worker) int64 {
 			}
 		}
 	}
+	// Every mention of t in the table holds a reference on t (pool.go),
+	// and a mention replaced here drops the one it held.
 	for _, d := range deps {
 		e := tr.entry(d.addr)
+		t.refs.Add(1)
 		switch d.mode {
 		case depIn:
 			link(e.lastOut)
@@ -184,12 +187,25 @@ func (tr *depTracker) resolve(t *task, deps []dep, w *worker) int64 {
 			} else {
 				link(e.lastOut)
 			}
+			if e.lastOut != nil {
+				w.release(e.lastOut)
+			}
 			e.lastOut = t
-			e.readers = nil
+			w.releaseReaders(e)
 		}
 	}
 	w.stats.depEdges.Add(edges)
 	return edges
+}
+
+// releaseReaders drops the table's references on e's readers and
+// empties the reader set, keeping its backing array.
+func (w *worker) releaseReaders(e *depEntry) {
+	for i, r := range e.readers {
+		w.release(r)
+		e.readers[i] = nil
+	}
+	e.readers = e.readers[:0]
 }
 
 // succNode is one entry of a task's lock-free successor list. Nodes
@@ -250,10 +266,12 @@ func (w *worker) enqueueReleased(t *task) {
 // then rings the team doorbell so a worker parked at a barrier can
 // come take it. Owner-side only (w must be the calling worker).
 func (w *worker) enqueue(t *task) {
-	w.team.sched.Push(w.id, t)
+	// Read t before the push: once queued, t can be stolen, finished
+	// and recycled before Push returns.
 	if fr := w.team.fr; fr != nil {
 		fr.Record(w.id, obs.EvSpawn, int64(t.depth))
 	}
+	w.team.sched.Push(w.id, t)
 	w.team.ring()
 }
 

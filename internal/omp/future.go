@@ -116,8 +116,8 @@ func (f *Future[T]) tryRecycle() {
 // Spawn allocates nothing in steady state: the cell comes from a
 // per-type pool and is buried on the creating worker's future grave,
 // to be recycled at region (or submission) quiescence if Wait
-// consumed it — the same two-tier discipline task structs use. See
-// the Future type's lifetime note for the one rule this imposes.
+// consumed it. See the Future type's lifetime note for the one rule
+// this imposes.
 func Spawn[T any](c *Context, fn func(*Context) T, opts ...TaskOpt) *Future[T] {
 	f := futPoolFor[T]().Get().(*Future[T])
 	f.fn = fn

@@ -13,7 +13,7 @@ import (
 // builds a team, runs one SPMD region, and tears the team down; a
 // service workload instead holds a warm team and pushes many small
 // task DAGs through it, so the scheduler state (pooled queues, the
-// work-advertisement word, the wait bell) and the task-recycling tiers
+// work-advertisement word, the wait bell) and the task free lists
 // must survive across regions. That is exactly what this type does:
 //
 //	pt := omp.NewPersistentTeam(4, omp.WithScheduler("workfirst"))
@@ -170,7 +170,7 @@ func (s *Submission) Wait() Stats {
 // not close the inbox: new submissions may arrive during and after a
 // drain (a drain concurrent with submitters is simply a moment of
 // quiescence, not a fence). After draining it opportunistically
-// flushes the workers' grave lists (see tryFlushGraves).
+// flushes the workers' future-cell graves (see tryFlushGraves).
 func (pt *PersistentTeam) Drain() {
 	pt.quietMu.Lock()
 	for pt.inflight.Load() != 0 {
@@ -307,7 +307,7 @@ func (pt *PersistentTeam) signalQuiet() {
 // submission's taskgroup) executed inline, so the submitted DAG flows
 // through exactly the machinery a Parallel region uses — execute,
 // finish, the scheduler for every spawned task. Allocation-free: the
-// root task comes from the worker's recycling tiers.
+// root task comes from the worker's free list.
 func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 	s := pt.dequeueSub()
 	if s == nil {
@@ -321,6 +321,7 @@ func (pt *PersistentTeam) runSubmission(w *worker, it *task) bool {
 	t.creator = w
 	t.depth = 1
 	t.group = &s.tg
+	t.refs.Store(1) // the root's own reference; its parent is implicit
 	if tm.rec != nil {
 		t.node = tm.rec.Root()
 	}
@@ -356,12 +357,12 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 			idle = 0
 			continue
 		}
-		// Single-worker teams have no thieves, so a quiescent worker
-		// may recycle its buried tasks immediately instead of waiting
-		// for Close — this is what keeps a sequential submit loop at
-		// zero steady-state allocations (see flushOwnGrave).
-		if len(tm.workers) == 1 && (len(w.grave) > 0 || len(w.futGrave) > 0) && tm.liveTasks.Load() == 0 {
-			pt.flushOwnGrave(w)
+		// A quiescent single worker may recycle its future cells
+		// immediately instead of waiting for Close — this is what keeps
+		// a sequential Spawn-and-Wait submit loop at zero steady-state
+		// allocations.
+		if len(tm.workers) == 1 && len(w.futGrave) > 0 && tm.liveTasks.Load() == 0 {
+			w.recycleFutures()
 		}
 		if pt.closed.Load() && pt.inflight.Load() == 0 && tm.liveTasks.Load() == 0 {
 			return
@@ -392,47 +393,16 @@ func (pt *PersistentTeam) serveWorker(w *worker, it *task) {
 	}
 }
 
-// flushOwnGrave recycles a single worker's grave list into its free
-// list. Only legal on a one-worker team observed with no live tasks:
-// no thief exists, no queue holds a task, so nothing can reach a
-// buried (finished) task and a stale-read hazard cannot arise.
-func (pt *PersistentTeam) flushOwnGrave(w *worker) {
-	for i, t := range w.grave {
-		t.reset()
-		if len(w.freeTasks) < maxWorkerFreeTasks {
-			w.freeTasks = append(w.freeTasks, t)
-		} else {
-			taskPool.Put(t)
-		}
-		w.grave[i] = nil
-	}
-	w.grave = w.grave[:0]
-	for i, f := range w.futGrave {
-		// No live task ⇒ no Wait can be in flight, so the consumed
-		// flags are stable: recycle what was consumed, drop the rest.
-		f.tryRecycle()
-		w.futGrave[i] = nil
-	}
-	w.futGrave = w.futGrave[:0]
-}
-
-// tryFlushGraves recycles every worker's grave list on a multi-worker
-// team, when safe. Buried tasks are stale-readable: a thief that
-// loaded queue indices before the tasks drained may still probe a
-// lagging slot and walk a finished task's ancestors (pool.go). The
-// flush is therefore only performed at full quiescence — no inflight
-// submission, no live task, and every worker registered as parked —
-// observed under inboxMu so no new submission can slip in while
-// flushing. Once all workers have registered, any later probe (a
-// spuriously woken worker re-checking) starts fresh against empty
-// queues and never dereferences a slot, so the flush cannot race it.
-// When the moment of quiescence never comes (sustained load), graves
-// stay bounded by maxWorkerGrave and overflow is dropped to the GC —
-// the same bound a long Parallel region has.
+// tryFlushGraves recycles every worker's future-cell grave on a
+// multi-worker team at full quiescence — no inflight submission, no
+// live task, every worker registered as parked — observed under
+// inboxMu so no new submission can slip in while flushing. Under
+// sustained load the graves stay bounded by maxWorkerFutGrave, the
+// same bound a long Parallel region has.
 func (pt *PersistentTeam) tryFlushGraves() {
 	tm := pt.tm
 	if len(tm.workers) == 1 {
-		return // the worker flushes its own grave when idle
+		return // the worker recycles its own cells when idle
 	}
 	pt.inboxMu.Lock()
 	defer pt.inboxMu.Unlock()
@@ -443,16 +413,6 @@ func (pt *PersistentTeam) tryFlushGraves() {
 		return
 	}
 	for _, w := range tm.workers {
-		for i, t := range w.grave {
-			t.reset()
-			taskPool.Put(t)
-			w.grave[i] = nil
-		}
-		w.grave = w.grave[:0]
-		for i, f := range w.futGrave {
-			f.tryRecycle() // quiescent: no Wait in flight (cf. flushOwnGrave)
-			w.futGrave[i] = nil
-		}
-		w.futGrave = w.futGrave[:0]
+		w.recycleFutures()
 	}
 }

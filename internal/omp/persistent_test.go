@@ -228,7 +228,7 @@ func TestPersistentTeamPanicAtClose(t *testing.T) {
 // cost of the service hot path on a one-worker team: after warm-up,
 // a submitted region and all its tasks must reuse pooled structures
 // (the submission struct, the root task, the spawned tasks through
-// the owner grave flush), so a whole request costs ~0 allocations.
+// the workers' free lists), so a whole request costs ~0 allocations.
 func TestPersistentTeamSubmitAllocs(t *testing.T) {
 	pt := NewPersistentTeam(1)
 	defer pt.Close()

@@ -2,47 +2,25 @@ package omp
 
 import "sync"
 
-// Task recycling. The BOTS paper's central claim is that task-runtime
-// overheads — creation, queuing, stealing — decide which configuration
-// wins, and on this runtime the dominant creation cost was the
-// per-task heap allocation (one ~250-byte task struct plus one
-// execution Context per task). Recycling removes it in two tiers:
-//
-//  1. In-region, per-worker free lists recycle tasks that were never
-//     shared: an undeferred task that never acquired a deferred
-//     descendant is reachable only from its creator's stack, so its
-//     struct can be reset and reused immediately after finishInline.
-//     Under the runtime cut-offs (maxtasks/maxdepth/adaptive) the
-//     vast majority of tasks take exactly this path.
-//
-//  2. Cross-region, a global sync.Pool. Tasks that were enqueued are
-//     *stale-readable*: a thief in deque.stealIf may read a lagging
-//     ring slot and call pred on a task that has already finished, and
-//     pred (isDescendantOf) walks parent/depth of the task and its
-//     ancestors. Resetting any such task mid-region would race with
-//     those reads. They are instead buried on the finishing worker's
-//     grave list with their fields intact and recycled only at region
-//     end, after every worker goroutine has joined and no thief can
-//     exist.
-//
-// The visibility invariant that makes tier 1 safe: every ancestor of
-// an enqueued (stale-readable) task is itself unrecyclable in-region.
-// Creation marks the parent of each deferred task `visible`, and
-// finishInline propagates the mark one level up when a visible
-// undeferred task completes — both writes happen on the thread
-// executing the parent, so they need no synchronization. A task is
-// recycled in-region only when its visible flag is still clear.
-const (
-	// maxWorkerFreeTasks bounds the per-worker in-region free list.
-	maxWorkerFreeTasks = 512
-	// maxWorkerGrave bounds the per-worker grave; beyond it, finished
-	// shared tasks are simply dropped for the GC (a long region should
-	// not pin every task it ever ran).
-	maxWorkerGrave = 8192
-)
+// Task recycling (DESIGN.md §6.1): a task struct returns to its
+// freeing worker's free list as soon as nothing can reach it; the
+// lists spill into (and refill from) a global sync.Pool that also
+// carries structs across regions. task.refs counts the task's own
+// reference, one per allocated child and one per mention in the
+// parent's dependence table; the last release frees the task and
+// cascades to its parent, so a queued task's ancestor chain (which
+// isDescendantOf walks) stays allocated. A constrained thief may run
+// its predicate on a task that was already claimed and freed, so free
+// recycles only while Team.stealScans reads zero and otherwise parks
+// the task, fields intact, on the worker's limbo list.
 
-// taskPool recycles task structs across parallel regions. Every task
-// in the pool is reset.
+// maxWorkerTasks bounds each per-worker task list: beyond it, freed
+// structs go to the global pool, and tasks a thief may still read are
+// left to the GC.
+const maxWorkerTasks = 512
+
+// taskPool recycles task structs between workers and across parallel
+// regions. Every task in the pool is reset.
 var taskPool = sync.Pool{New: func() any { return new(task) }}
 
 // depTabPool recycles per-parent dependence tables (with their entry
@@ -53,8 +31,8 @@ var depTabPool = sync.Pool{New: func() any {
 	return &depTracker{entries: make(map[uintptr]*depEntry)}
 }}
 
-// newTask returns a reset task: from the worker's free list when the
-// in-region tier has one, else from the global pool.
+// newTask returns a reset task: from the worker's free list when it
+// has one, else from the global pool.
 func (w *worker) newTask() *task {
 	if n := len(w.freeTasks) - 1; n >= 0 {
 		t := w.freeTasks[n]
@@ -65,28 +43,55 @@ func (w *worker) newTask() *task {
 	return taskPool.Get().(*task)
 }
 
-// recycle resets a never-shared task and returns it to the worker's
-// free list (tier 1). Caller guarantees no other goroutine can hold a
-// reference (the task was never enqueued and has no deferred
-// descendants).
-func (w *worker) recycle(t *task) {
-	t.reset()
-	if len(w.freeTasks) < maxWorkerFreeTasks {
-		w.freeTasks = append(w.freeTasks, t)
+// release drops one reference on t. The last reference frees t, which
+// releases the reference t held on its parent, and so on up the tree.
+// A holder that observes refs == 1 holds the last reference: only a
+// task's own creation and its executing body take references, and
+// both hold one themselves, so the atomic decrement can be skipped.
+func (w *worker) release(t *task) {
+	for t.refs.Load() == 1 || t.refs.Add(-1) == 0 {
+		p := t.parent
+		w.free(t)
+		if p.depth == 0 {
+			return // implicit tasks are never freed
+		}
+		t = p
 	}
 }
 
-// bury records a finished shared task for region-end recycling
-// (tier 2). The task is NOT reset here: stale thief reads may still
-// inspect its creation-time fields until the region joins.
-func (w *worker) bury(t *task) {
-	if len(w.grave) < maxWorkerGrave {
-		w.grave = append(w.grave, t)
+// free recycles an unreferenced task, or parks it on the limbo list
+// while a constrained thief may still read it (see the file comment).
+// A zero load also recycles everything already in limbo: each of
+// those tasks was freed, and therefore claimed, before this load.
+func (w *worker) free(t *task) {
+	if w.team.stealScans.Load() != 0 {
+		if len(w.limbo) < maxWorkerTasks {
+			w.limbo = append(w.limbo, t)
+		}
+		return
 	}
+	for i, l := range w.limbo {
+		w.recycle(l)
+		w.limbo[i] = nil
+	}
+	w.limbo = w.limbo[:0]
+	w.recycle(t)
+}
+
+// recycle resets a task no goroutine can reach anymore and returns it
+// to the worker's free list, or to the global pool when the list is
+// full.
+func (w *worker) recycle(t *task) {
+	t.reset()
+	if len(w.freeTasks) < maxWorkerTasks {
+		w.freeTasks = append(w.freeTasks, t)
+		return
+	}
+	taskPool.Put(t)
 }
 
 // maxWorkerFutGrave bounds the per-worker future-cell grave; beyond
-// it, cells are simply dropped for the GC, like task-grave overflow.
+// it, cells are simply dropped for the GC.
 const maxWorkerFutGrave = 8192
 
 // buryFuture records a Spawn-created cell for recycling at region (or
@@ -100,26 +105,31 @@ func (w *worker) buryFuture(f futCell) {
 	}
 }
 
-// releaseTasks drains the worker's recycling tiers into the global
-// pool. Called from Parallel after every worker goroutine has joined,
-// when no task of the region can be referenced anymore.
+// releaseTasks drains the worker's free and limbo lists into the
+// global pool and recycles its future cells. Called from shutdown
+// after every worker goroutine has joined, when no task of the region
+// can be referenced anymore.
 func (w *worker) releaseTasks() {
-	for i, t := range w.freeTasks {
-		taskPool.Put(t) // already reset
-		w.freeTasks[i] = nil
-	}
-	w.freeTasks = nil
-	for i, t := range w.grave {
+	for _, t := range w.limbo {
 		t.reset()
 		taskPool.Put(t)
-		w.grave[i] = nil
 	}
-	w.grave = nil
+	for _, t := range w.freeTasks {
+		taskPool.Put(t) // already reset
+	}
+	w.limbo, w.freeTasks = nil, nil
+	w.recycleFutures()
+}
+
+// recycleFutures empties the worker's future-cell grave, recycling
+// the consumed cells. Only at quiescence: no task runs, so no Wait can
+// be in flight and the consumed flags are stable.
+func (w *worker) recycleFutures() {
 	for i, f := range w.futGrave {
 		f.tryRecycle()
 		w.futGrave[i] = nil
 	}
-	w.futGrave = nil
+	w.futGrave = w.futGrave[:0]
 }
 
 // reset zeroes a task for reuse. Atomics are stored through, so the
@@ -134,9 +144,8 @@ func (t *task) reset() {
 	t.depth = 0
 	t.untied = false
 	t.final = false
-	t.visible = false
-	t.spawnedDeferred = false
 	t.priority = 0
+	t.refs.Store(0)
 	t.pending.Store(0)
 	t.group = nil
 	t.node = nil
@@ -182,16 +191,18 @@ func newDepTab() *depTracker {
 	return depTabPool.Get().(*depTracker)
 }
 
-// recycleDepTab clears a finished parent's dependence table and
-// returns it to the pool. The entry structs are kept on the tracker's
-// own free list, so a reused table allocates no entries either.
-func recycleDepTab(tr *depTracker) {
+// recycleDepTab clears a finished parent's dependence table, drops
+// the references its entries hold on the parent's children, and
+// returns the table to the pool. The entry structs are kept on the
+// tracker's own free list, so a reused table allocates no entries
+// either.
+func (w *worker) recycleDepTab(tr *depTracker) {
 	for a, e := range tr.entries {
-		e.lastOut = nil
-		for i := range e.readers {
-			e.readers[i] = nil // don't pin finished tasks across regions
+		if e.lastOut != nil {
+			w.release(e.lastOut)
+			e.lastOut = nil
 		}
-		e.readers = e.readers[:0]
+		w.releaseReaders(e)
 		tr.free = append(tr.free, e)
 		delete(tr.entries, a)
 	}

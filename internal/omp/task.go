@@ -21,19 +21,10 @@ type task struct {
 	final    bool
 	priority int32
 
-	// visible marks tasks whose pointer may be reachable outside the
-	// executing thread — every enqueued task, and every ancestor of an
-	// enqueued task (stale thief reads walk parent chains; see
-	// pool.go). Only !visible tasks are recycled in-region. Written
-	// exclusively by the thread executing the task's parent.
-	visible bool
-
-	// spawnedDeferred marks tasks that (transitively through inline
-	// children) acquired a deferred descendant: constraint predicates
-	// may walk up to this task from a queued descendant, so it cannot
-	// be recycled at finish even on a single-worker team. Written
-	// exclusively by the thread executing the task.
-	spawnedDeferred bool
+	// refs counts the task's own reference until it finishes, its
+	// allocated children and its mentions in the parent's dependence
+	// table; the struct is recycled at zero (pool.go).
+	refs atomic.Int32
 
 	// ctx is the task's reusable execution context: execute and the
 	// undeferred path hand &ctx to the body, saving a per-execution
@@ -120,14 +111,27 @@ func (cfg *taskConfig) reset() {
 // suspended in this task may execute or steal any ready task, not
 // only descendants. (Mid-execution migration to another thread is not
 // modeled; see DESIGN.md.)
-func Untied() TaskOpt { return func(c *taskConfig) { c.untied = true } }
+func Untied() TaskOpt { return untiedOpt }
 
 // If attaches an if clause to the task directive: when cond is false
 // the task is undeferred and executes immediately on the encountering
 // thread, but the runtime still performs task bookkeeping — exactly
 // the distinction the BOTS paper draws between the if-clause cut-off
 // (its Figure 1) and the manual cut-off (its Figure 2).
-func If(cond bool) TaskOpt { return func(c *taskConfig) { c.ifClause = cond } }
+func If(cond bool) TaskOpt {
+	if cond {
+		return ifTrueOpt
+	}
+	return ifFalseOpt
+}
+
+// The clause values Untied and If hand out, preallocated so that
+// building a task's option list allocates no closure for them.
+var (
+	untiedOpt  TaskOpt = func(c *taskConfig) { c.untied = true }
+	ifTrueOpt  TaskOpt = func(c *taskConfig) { c.ifClause = true }
+	ifFalseOpt TaskOpt = func(c *taskConfig) { c.ifClause = false }
+)
 
 // Final marks the task final: all of its descendants are undeferred.
 func Final(cond bool) TaskOpt { return func(c *taskConfig) { c.final = cond } }
@@ -154,9 +158,9 @@ func (t *task) isDescendantOf(anc *task) bool {
 // dependent successor tasks, recycle the dependence table of t's
 // children, decrement the team's live-task count, the enclosing
 // taskgroup's live count, and the parent's pending count, waking a
-// parked taskwait if this was the last outstanding child. The task
-// itself is buried for region-end recycling (it was enqueued, so
-// stale thief reads may still inspect it; see pool.go).
+// parked taskwait if this was the last outstanding child. Finally t
+// drops its own reference; the struct is recycled once no child or
+// dependence table holds it anymore (pool.go).
 //
 // finish and finishInline are the only two places the team live-task
 // count is decremented, and every task goes through exactly one of
@@ -171,7 +175,7 @@ func (t *task) finish(w *worker) {
 	}
 	t.releaseSuccessors(w)
 	if t.depTab != nil {
-		recycleDepTab(t.depTab)
+		w.recycleDepTab(t.depTab)
 		t.depTab = nil
 	}
 	// The live count drops before the completion signals below: anyone
@@ -199,16 +203,7 @@ func (t *task) finish(w *worker) {
 	if wake {
 		t.team.wakeWaiters()
 	}
-	// A single-worker team has no thieves, so finished deferred tasks
-	// are not stale-readable and can recycle immediately — unless a
-	// constraint walk can still reach this task from a queued
-	// descendant (spawnedDeferred) or the parent's dependence table
-	// still names it as a predecessor (hasDeps).
-	if len(t.team.workers) == 1 && !t.spawnedDeferred && !t.hasDeps {
-		w.recycle(t)
-		return
-	}
-	w.bury(t)
+	w.release(t)
 }
 
 // park blocks until a completion broadcast arrives or the task's

@@ -100,10 +100,18 @@ type Team struct {
 	// than depositing tokens) is what makes it absorption-proof. See
 	// wakeWaiters for the lost-wakeup argument.
 	// waitParkers is likewise read-mostly (loaded by wakeWaiters on
-	// every completion that could satisfy a waiter).
+	// every completion that could satisfy a waiter). bellArmed marks a
+	// bell some parker loaded since the last broadcast.
 	waitParkers atomic.Int32
+	bellArmed   atomic.Bool
 	waitBell    atomic.Pointer[chan struct{}]
 	_           [48]byte
+
+	// stealScans counts constrained thieves inside a Steal call, the
+	// only window in which a task is read before it is claimed; a freed
+	// task is recycled at once only while it reads zero (pool.go).
+	stealScans atomic.Int32
+	_          [60]byte
 
 	// Worksharing bookkeeping: per-construct-instance state, keyed by
 	// each thread's private construct counter (all threads encounter
@@ -178,9 +186,9 @@ type worker struct {
 	loopIdx   int64 // private counter of loop constructs encountered
 	reduceIdx int64 // private counter of Reduce constructs encountered
 
-	// Task-recycling tiers (pool.go); owner-only.
+	// Recycling lists (pool.go); owner-only.
 	freeTasks []*task
-	grave     []*task
+	limbo     []*task
 	futGrave  []futCell
 	freeSuccs []*succNode
 
@@ -297,15 +305,18 @@ func newTeam(n int, opts []TeamOpt) (*Team, []*task) {
 }
 
 // shutdown finalizes a team after every worker goroutine has joined:
-// no thief or waiter can hold a task reference anymore, so the team's
-// tasks recycle into the global pool (pool.go) — including on the
-// panic path. Returns the final aggregated stats.
+// no thief or waiter can hold a task reference anymore, so the
+// workers' recycling lists drain into the global pool (pool.go) —
+// including on the panic path. Returns the final aggregated stats.
 func (tm *Team) shutdown(implicit []*task) *Stats {
 	tm.sched.Fini()
 	if regionEndHook != nil {
 		regionEndHook(tm)
 	}
-	for _, w := range tm.workers {
+	for i, w := range tm.workers {
+		if tab := implicit[i].depTab; tab != nil {
+			w.recycleDepTab(tab) // frees the region body's dependent children
+		}
 		w.releaseTasks()
 	}
 	for _, it := range implicit {
@@ -468,10 +479,11 @@ func (tm *Team) ringAll() {
 // already closed): the close reaches it. Closing — rather than
 // depositing tokens — makes the broadcast absorption-proof: no
 // sequence of other waiters' park/re-check cycles can consume it.
-// The fresh channel is allocated only when a parker is registered, so
-// the common completion path stays allocation-free.
+// The fresh channel is allocated only when a parker armed the current
+// bell, before its re-check (DESIGN.md §9.2): a completer it missed
+// sees the arming or loses its CAS to one that closes its bell.
 func (tm *Team) wakeWaiters() {
-	if tm.waitParkers.Load() == 0 {
+	if tm.waitParkers.Load() == 0 || !tm.bellArmed.CompareAndSwap(true, false) {
 		return
 	}
 	fresh := make(chan struct{})
@@ -489,6 +501,7 @@ func (tm *Team) wakeWaiters() {
 func (tm *Team) waitPark(cond func() bool) {
 	tm.waitParkers.Add(1)
 	bell := tm.waitBell.Load()
+	tm.bellArmed.Store(true)
 	if cond() {
 		tm.waitParkers.Add(-1)
 		return
@@ -528,7 +541,13 @@ func (w *worker) runOne(constraint *task) bool {
 		// registering (see advMask and barrier).
 		if adv := w.team.adv; adv == nil || adv.HasStealableWork(w.id) {
 			w.stats.stealAttempts.Add(1)
+			if pred != nil {
+				w.team.stealScans.Add(1) // pred reads unclaimed tasks (pool.go)
+			}
 			t = sched.Steal(w.id, pred)
+			if pred != nil {
+				w.team.stealScans.Add(-1)
+			}
 			if t == nil {
 				w.stats.stealFails.Add(1)
 			} else if fr := w.team.fr; fr != nil {
